@@ -61,7 +61,7 @@ from . import tensor as _tensor_module
 from .config import kernel_mode
 from .prof import profiler
 from .tensor import Tensor
-from .workspace import arena
+from .workspace import arena, retain_freed_heap
 
 __all__ = ["StepExecutor"]
 
@@ -402,7 +402,7 @@ class _Plan:
         for kind, a, b in self.closure_refs:
             node = tape[a] if kind == 0 else tape[a]._prev[b]
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
             if node._grad_hooks and node.grad is not None:
                 for hook in tuple(node._grad_hooks):
                     hook(node)
@@ -490,7 +490,7 @@ class _PlanBuilder:
             for node in reversed(topo):
                 fired = node._backward is not None and node.grad is not None
                 if fired:
-                    node._backward()
+                    node._backward(node)
                 if node._grad_hooks and node.grad is not None:
                     for hook in tuple(node._grad_hooks):
                         hook(node)
@@ -803,13 +803,13 @@ class _PlanBuilder:
             def run(tape: list) -> None:
                 node = tape[i]
                 if node._backward is not None and node.grad is not None:
-                    node._backward()
+                    node._backward(node)
                 _fire_hooks(node)
         else:
             def run(tape: list) -> None:
                 node = tape[i]
                 if node._backward is not None and node.grad is not None:
-                    node._backward()
+                    node._backward(node)
                     _fire_hooks(node)
                     node.grad = None
         self.plan.entries.append(run)
@@ -1261,15 +1261,24 @@ class StepExecutor:
                              pre_backward=model.zero_grad)
 
     Under any kernel mode except ``compiled`` this is exactly
-    ``loss = forward(); pre_backward(); loss.backward(seed)``.  Under
-    ``compiled`` the forward is captured, the step graph fingerprinted, and
-    identical steps replay a compiled plan; mismatches (partial batches,
-    graph changes) transparently fall back to eager execution.
+    ``loss = forward(); pre_backward();
+    loss.backward(seed, release_tape=release_tape)``.  Under ``compiled``
+    the forward is captured, the step graph fingerprinted, and identical
+    steps replay a compiled plan; mismatches (partial batches, graph
+    changes) transparently fall back to eager execution.
+
+    ``release_tape`` (default True) holds in every mode: after the step the
+    returned ``loss`` keeps its value but no graph, so the step's
+    activations and arena borrows are freed before the caller's next
+    forward instead of when it rebinds ``loss``.  Creating an executor calls
+    :func:`~repro.framework.workspace.retain_freed_heap`, so the memory each
+    step frees is reused by the next instead of being faulted in again.
     """
 
     MAX_PLANS = 64
 
     def __init__(self, name: str = "step", *, release_tape: bool = True):
+        retain_freed_heap()
         self.name = name
         self.release_tape = release_tape
         self._plans: dict[tuple, _Plan] = {}
@@ -1339,7 +1348,7 @@ class StepExecutor:
             loss = forward()
             if pre_backward is not None:
                 pre_backward()
-            loss.backward(seed)
+            loss.backward(seed, release_tape=self.release_tape)
             return loss
 
         tape: list[Tensor] = []

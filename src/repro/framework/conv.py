@@ -232,7 +232,11 @@ def _conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor | None, stride: in
     out_flat = col_t @ w2.T  # (N*P, F)
     if bias is not None:
         out_flat = out_flat + bias.data
-    out = out_flat.reshape(n, p, f).transpose(0, 2, 1).reshape(n, f, oh, ow)
+    # C-contiguous like the arena conv: BatchNorm's reductions round
+    # differently on a channels-last view, which would split naive mode
+    # from the other kernel modes.
+    out = np.ascontiguousarray(
+        out_flat.reshape(n, p, f).transpose(0, 2, 1)).reshape(n, f, oh, ow)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 

@@ -13,9 +13,11 @@ When the profiler is inactive (the default), the wrapper is a cached
 global lookup, one function call, and one attribute check — cheap enough
 to leave on every kernel.  When active, it times the forward call,
 estimates bytes moved from the tensor operands, and (if the result is a
-graph node) wraps its backward closure so the same op's backward cost is
-charged to the ``backward`` phase.  The wrapped closure calls the
-original unchanged, so profiled runs stay bit-identical.
+graph node) wraps its backward adjoint so the same op's backward cost is
+charged to the ``backward`` phase.  The wrapper calls the original
+unchanged, so profiled runs stay bit-identical, and like the adjoint it
+wraps it receives the node as an argument instead of capturing it, so
+profiling keeps the graph acyclic.
 """
 
 from __future__ import annotations
@@ -72,13 +74,13 @@ def profiled_op(name: str):
             prof.end(name, dt, nbytes)
             bwd = getattr(out, "_backward", None)
             if bwd is not None:
-                def timed_backward(_bwd=bwd, _prof=prof, _nbytes=nbytes):
-                    # begin() before the closure so nested profiled ops
+                def timed_backward(node, _bwd=bwd, _prof=prof, _nbytes=nbytes):
+                    # begin() before the adjoint so nested profiled ops
                     # charge as children (self-time stays double-count free).
                     _prof.begin()
                     b0 = perf_counter_ns()
                     try:
-                        _bwd()
+                        _bwd(node)
                     except BaseException:
                         _prof.cancel()
                         raise

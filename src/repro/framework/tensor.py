@@ -6,10 +6,12 @@ wraps an ``np.ndarray`` and records the operations applied to it so that
 of the primitives defined here.
 
 The design follows the classic tape-based approach: every differentiable
-operation returns a new ``Tensor`` whose ``_backward`` closure knows how to
+operation returns a new ``Tensor`` whose ``_backward`` adjoint knows how to
 accumulate gradients into the operation's inputs, and ``backward`` walks the
-graph in reverse topological order.  All heavy lifting is vectorized NumPy;
-there are no per-element Python loops on hot paths.
+graph in reverse topological order.  Nodes point only at their parents, never
+at themselves, so a dropped graph is freed by reference counting alone.  All
+heavy lifting is vectorized NumPy; there are no per-element Python loops on
+hot paths.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ class Tensor:
             _ALLOC_TRACKER(self.data.nbytes)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[["Tensor"], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
         self._grad_hooks: list[Callable[["Tensor"], None]] | None = None
@@ -251,12 +253,21 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[["Tensor"], None] | None,
     ) -> "Tensor":
-        """Create a result tensor wired into the autodiff graph."""
+        """Create a result tensor wired into the autodiff graph.
+
+        ``backward`` is stored as is and called as ``out._backward(out)``.
+        Binding ``out`` into a closure instead would make every node a
+        reference cycle: a dropped graph (activations, gradients, arena
+        borrows held by adjoints) would then live until Python's cyclic
+        collector happened to run.  Adjoints capture their *inputs*, never
+        their result, so the graph is acyclic and each step's graph is freed
+        by reference count the moment its last name goes away.
+        """
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires and backward is not None:
             out._prev = tuple(parents)
-            out._backward = lambda: backward(out)
+            out._backward = backward
             if _TAPE is not None:
                 # ``_vjp`` keeps the *raw* adjoint (``_backward`` may later be
                 # wrapped by the profiler); its ``__code__`` identifies the op
@@ -294,10 +305,12 @@ class Tensor:
         elements); for scalar losses this is the conventional seed of 1.0.
 
         ``release_tape=True`` severs the traversed graph afterwards: every
-        visited interior node drops its ``_backward`` closure and parent
-        links, so activation arrays (and arena borrows captured in closures)
-        become collectible immediately instead of surviving until the next
-        forward rebinds the Python names holding them.  The graph cannot be
+        visited interior node drops its ``_backward`` adjoint and parent
+        links.  The graph is acyclic, so it is freed by reference count as
+        soon as nothing names it; release frees it even while the caller
+        still holds the root (e.g. ``loss`` until the next step rebinds it),
+        returning activation arrays and the arena borrows captured in
+        adjoints right after the backward.  The graph cannot be
         backpropagated again after release; leaf gradients are untouched.
         """
         if _INFERENCE_MODE:
@@ -354,7 +367,7 @@ class Tensor:
             # order, which is what gradient bucketing relies on for overlap).
             for node in reversed(topo):
                 if node._backward is not None and node.grad is not None:
-                    node._backward()
+                    node._backward(node)
                 if node._grad_hooks and node.grad is not None:
                     for hook in tuple(node._grad_hooks):
                         hook(node)

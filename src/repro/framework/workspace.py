@@ -21,7 +21,9 @@ Design:
 - **Leak tolerance.**  Borrows that die without being released (e.g. a
   backward closure that never ran because the graph was dropped) are
   reclaimed into the pool via a weakref callback, so kernels may hold
-  scratch for the lifetime of an autograd closure without leaking.
+  scratch for the lifetime of an autograd closure without leaking.  The
+  autograd graph is acyclic, so a dropped graph returns its borrows at
+  once, by reference count, not at the next cyclic collection.
 - **Per-thread.**  :func:`arena` returns a thread-local instance; kernels
   running on different threads never contend or alias.
 - **Telemetry-counted.**  Every take increments ``kernel_arena_hits`` /
@@ -32,18 +34,25 @@ Design:
 
 The arena is engaged by the ``reuse`` and ``fused`` kernel modes (see
 :mod:`repro.framework.config`); ``naive`` mode never touches it.
+
+Everything else a step allocates (activations, gradients) goes through
+NumPy to the C heap and is freed when the step's graph dies.  By default
+glibc hands those pages straight back to the OS and faults them in again
+on the next step; :func:`retain_freed_heap` makes the heap keep them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
 import threading
 import weakref
 from typing import Any, Iterable
 
 import numpy as np
 
-__all__ = ["Workspace", "arena", "record_arena_gauges"]
+__all__ = ["Workspace", "arena", "record_arena_gauges", "retain_freed_heap"]
 
 
 class Workspace:
@@ -238,3 +247,40 @@ def record_arena_gauges(metrics=None) -> dict[str, float]:
 
     current_events().publish("arena_stats", arena=ws.name, **stats)
     return stats
+
+
+# glibc ``mallopt`` parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_RETAINED: bool | None = None
+
+
+def retain_freed_heap() -> bool:
+    """Keep memory freed by one training step in the heap for the next.
+
+    A step frees its whole graph at once.  glibc's defaults then return
+    most of it to the OS: blocks above a (self-raising) mmap threshold are
+    unmapped, and free space above 128 KiB at the heap top is trimmed, so
+    every step pays page faults for its activations again.  This serves
+    blocks up to 32 MiB from the heap and keeps up to 64 MiB of free heap
+    top, so steady-state steps reuse resident pages.  Peak RSS does not
+    grow: the step's live peak sets it either way.
+
+    Process-wide and idempotent.  Returns whether the setting applies: it
+    does not without glibc's ``mallopt``, or when the user tunes malloc
+    through ``MALLOC_MMAP_THRESHOLD_`` / ``MALLOC_TRIM_THRESHOLD_``.
+    """
+    global _HEAP_RETAINED
+    if _HEAP_RETAINED is None:
+        _HEAP_RETAINED = False
+        user_tuned = ("MALLOC_MMAP_THRESHOLD_" in os.environ
+                      or "MALLOC_TRIM_THRESHOLD_" in os.environ)
+        # ``pythonapi`` resolves symbols in the running process, libc
+        # included; a fresh ``CDLL`` would leave a reference cycle.
+        mallopt = getattr(ctypes.pythonapi, "mallopt", None)
+        if mallopt is not None and not user_tuned:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            _HEAP_RETAINED = bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                                  and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
+    return _HEAP_RETAINED

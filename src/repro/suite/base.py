@@ -70,7 +70,8 @@ class TrainingSession(ABC):
         training step's autograd tape and replays a compiled plan on
         fingerprint-identical steps; under every other kernel mode
         :meth:`~repro.framework.compile.StepExecutor.step` is exactly the
-        eager ``forward(); pre_backward(); loss.backward()`` sequence.
+        eager ``forward(); pre_backward(); loss.backward(release_tape=True)``
+        sequence.  In every mode the returned loss carries no graph.
         """
         executor = getattr(self, "_step_executor", None)
         if executor is None:

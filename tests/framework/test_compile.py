@@ -243,18 +243,20 @@ class TestHooksAndRelease:
 
     @pytest.mark.parametrize("release", [True, False])
     def test_release_tape(self, release):
-        executor = StepExecutor(release_tape=release)
-        with use_kernel_mode("compiled"):
-            params = _mlp_params()
-            for batch in _batches(2):
-                loss = executor.step(lambda: _mlp_loss(params, batch),
-                                     pre_backward=lambda: _zero_grads(params))
-        if release:
-            # Both the miss (compile) and hit (replay) paths sever the
-            # traversed graph so intermediates free immediately.
-            assert loss._backward is None and loss._prev == ()
-        else:
-            assert loss._prev != ()
+        for mode in EAGER_MODES + ("compiled",):
+            executor = StepExecutor(release_tape=release)
+            with use_kernel_mode(mode):
+                params = _mlp_params()
+                for batch in _batches(2):
+                    loss = executor.step(lambda: _mlp_loss(params, batch),
+                                         pre_backward=lambda: _zero_grads(params))
+            if release:
+                # Eager steps and both compiled paths (the miss that
+                # compiles, the hit that replays) sever the traversed graph
+                # so intermediates free immediately.
+                assert loss._backward is None and loss._prev == (), mode
+            else:
+                assert loss._backward is not None and loss._prev != (), mode
 
 
 class TestStepBenchPayload:

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import gc
+import os
+import platform
 import threading
 
 import numpy as np
 import pytest
 
-from repro.framework.workspace import Workspace, arena, record_arena_gauges
+from repro.framework.workspace import (
+    Workspace,
+    arena,
+    record_arena_gauges,
+    retain_freed_heap,
+)
 from repro.telemetry import Telemetry
 
 
@@ -138,3 +145,12 @@ class TestTelemetry:
         gauge = telemetry.metrics.gauge("kernel_arena_hit_rate")
         assert gauge.value == stats["hit_rate"]
         assert telemetry.metrics.gauge("kernel_arena_live_borrows").value == stats["live"]
+
+
+def test_retain_freed_heap_applies_once_on_glibc():
+    applied = retain_freed_heap()
+    assert retain_freed_heap() is applied
+    user_tuned = any(k in os.environ
+                     for k in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"))
+    if platform.libc_ver()[0] == "glibc" and not user_tuned:
+        assert applied is True
