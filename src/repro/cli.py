@@ -717,7 +717,7 @@ def _cmd_stats(args, out) -> int:
 
 def _cmd_monitor(args, out) -> int:
     from .telemetry import render_monitor_view
-    from .telemetry.monitor import (DEFAULT_STALL_AFTER_S, CampaignTailer,
+    from .telemetry.monitor import (DEFAULT_STALL_AFTER_S, CampaignFold,
                                     campaign_dir_problem)
 
     problem = campaign_dir_problem(args.campaign_dir)
@@ -726,12 +726,15 @@ def _cmd_monitor(args, out) -> int:
         return 1
     stall_after = (DEFAULT_STALL_AFTER_S if args.stall_after is None
                    else args.stall_after)
-    # A tailer instead of load_monitor_view so --watch re-reads nothing:
-    # each refresh consumes only bytes appended since the previous one.
-    tailer = CampaignTailer(args.campaign_dir, stall_after_s=stall_after)
+    # One fold across refreshes, so --watch re-reads nothing: each poll
+    # consumes only bytes appended since the previous one, and only the
+    # events the screen shows are kept.
+    fold = CampaignFold(args.campaign_dir, tail=max(args.events, 0),
+                        stall_after_s=stall_after)
 
     def refresh():
-        view = tailer.refresh()
+        fold.poll()
+        view = fold.view()
         print(render_monitor_view(view, recent_events=args.events), file=out)
         return view
 

@@ -19,7 +19,9 @@ measurement substrate for that decomposition:
   (throughput, eval quality, arena hit rate, all-reduce bytes) recorded
   at epoch/eval boundaries and persisted in run artifacts;
 - :mod:`repro.telemetry.monitor` — the ``repro monitor`` view, built
-  purely from a campaign directory's journal + heartbeat + event files;
+  purely from a campaign directory's journal + heartbeat + event files
+  by :class:`CampaignFold`, the one bounded incremental fold the
+  monitor, the observability server and the alert rules share;
 - :mod:`repro.telemetry.regress` — schema-aware ``BENCH_*.json``
   comparison with per-metric tolerance bands (``repro bench-diff``),
   with per-op regression attribution when a timing gate trips;
@@ -65,7 +67,6 @@ from .alerts import (
     ActiveAlert,
     AlertEngine,
     AlertRule,
-    StreamFold,
     default_rules,
     load_rules_file,
     parse_rules,
@@ -77,7 +78,7 @@ from .timeseries import (
     render_series_table,
 )
 from .monitor import (
-    CampaignTailer,
+    CampaignFold,
     JobView,
     MonitorView,
     build_view,
@@ -142,7 +143,7 @@ __all__ = [
     "AlertEngine",
     "AlertRule",
     "AttributionRow",
-    "CampaignTailer",
+    "CampaignFold",
     "Counter",
     "Event",
     "EventBus",
@@ -168,7 +169,6 @@ __all__ = [
     "RunTelemetry",
     "SeriesPoint",
     "Span",
-    "StreamFold",
     "Telemetry",
     "TraceAnalysis",
     "Tracer",

@@ -6,10 +6,10 @@ surfaces into a firing/resolved lifecycle:
 
 - An :class:`AlertRule` is data (kind + parameters), parseable from JSON,
   so a campaign can ship its alerting policy next to its spec.
-- :class:`StreamFold` folds a merged event stream into per-run state
-  (last progress instant, latest quality vs. target, rolling throughput,
-  arena hit rate) — one ``O(1)`` update per event, so live tailers pay
-  nothing for history.
+- :class:`~repro.telemetry.monitor.CampaignFold` folds the event stream
+  into per-run state (last progress instant, latest quality vs. target,
+  rolling throughput, arena hit rate) — one ``O(1)`` update per event,
+  so live tailers pay nothing for history.
 - :class:`AlertEngine` evaluates every rule against a fold snapshot and
   emits ``alert_firing`` / ``alert_resolved`` transitions **as ordinary
   telemetry events**: ``alerts.jsonl`` is just another JSONL stream that
@@ -46,15 +46,15 @@ Rule kinds (each with its parameter defaults):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from .events import Event
-from .monitor import MonitorView
+from .monitor import AlertContext, CampaignFold, RunAlertState
 
-__all__ = ["AlertRule", "ActiveAlert", "AlertEngine", "StreamFold",
-           "AlertContext", "RULE_KINDS", "default_rules", "parse_rules",
+__all__ = ["AlertRule", "ActiveAlert", "AlertEngine", "AlertContext",
+           "RULE_KINDS", "default_rules", "parse_rules",
            "load_rules_file", "replay_alerts", "render_alert_table"]
 
 # kind -> (parameter name -> default).  A rule may override any subset;
@@ -68,9 +68,6 @@ RULE_KINDS: dict[str, dict[str, float]] = {
 }
 
 _SEVERITIES = ("info", "warning", "critical")
-
-# Rolling-throughput memory per run; bounds fold state on long runs.
-_THROUGHPUT_KEEP = 32
 
 
 @dataclass(frozen=True)
@@ -164,22 +161,6 @@ def load_rules_file(path: str | Path) -> list[AlertRule]:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
-@dataclass
-class RunAlertState:
-    """Everything the rules need to know about one (benchmark, seed) run."""
-
-    key: str
-    active: bool = False
-    started: bool = False
-    status: str = "pending"
-    last_progress_s: float = 0.0
-    target: float | None = None
-    quality: float | None = None
-    evals: int = 0
-    throughput: list[float] = field(default_factory=list)
-    arena_hit_rate: float | None = None
-
-
 @dataclass(frozen=True)
 class ActiveAlert:
     """One currently-firing alert (the /api/alerts and /metrics view)."""
@@ -196,128 +177,6 @@ class ActiveAlert:
         return {"rule": self.rule, "kind": self.kind, "key": self.key,
                 "severity": self.severity, "since_s": self.since_s,
                 "value": self.value, "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class AlertContext:
-    """A point-in-time evaluation input: the fold state at ``now_s``."""
-
-    now_s: float
-    runs: Mapping[str, RunAlertState]
-
-
-class StreamFold:
-    """Incrementally fold a time-ordered event stream into run states.
-
-    Events must be applied in timeline order (what
-    :func:`~repro.telemetry.events.merge_event_streams` and the tailers
-    produce).  Worker events carry no benchmark/seed in their args, only
-    a ``pid`` (the job ordinal) — ``run_start``/``job_start`` establish
-    the pid→run mapping the progress events resolve through.
-    """
-
-    def __init__(self):
-        self.runs: dict[str, RunAlertState] = {}
-        self._key_by_pid: dict[int, str] = {}
-
-    def _run(self, key: str) -> RunAlertState:
-        state = self.runs.get(key)
-        if state is None:
-            state = self.runs[key] = RunAlertState(key=key)
-        return state
-
-    def _resolve(self, event: Event) -> RunAlertState | None:
-        key = self._key_by_pid.get(event.pid)
-        return None if key is None else self._run(key)
-
-    def apply(self, event: Event) -> None:
-        args = event.args
-        name = event.name
-        if name in ("run_start", "job_start"):
-            if "benchmark" not in args or "seed" not in args:
-                return
-            key = f"{args['benchmark']}/{args['seed']}"
-            self._key_by_pid[event.pid] = key
-            state = self._run(key)
-            if name == "run_start":
-                # A (re)started attempt resets the run-scoped signals.
-                state.active = True
-                state.started = True
-                state.status = "running"
-                state.quality = None
-                state.evals = 0
-                state.throughput = []
-                state.arena_hit_rate = None
-                if args.get("target") is not None:
-                    state.target = float(args["target"])
-            state.last_progress_s = max(state.last_progress_s, event.time_s)
-        elif name == "epoch":
-            state = self._resolve(event)
-            if state is None:
-                return
-            state.last_progress_s = max(state.last_progress_s, event.time_s)
-            seconds = args.get("epoch_seconds")
-            samples = args.get("samples")
-            if seconds and samples:
-                state.throughput.append(float(samples) / float(seconds))
-                del state.throughput[:-_THROUGHPUT_KEEP]
-        elif name == "eval":
-            state = self._resolve(event)
-            if state is None:
-                return
-            state.last_progress_s = max(state.last_progress_s, event.time_s)
-            if "quality" in args:
-                state.quality = float(args["quality"])
-                state.evals += 1
-        elif name == "run_stop":
-            state = self._resolve(event)
-            if state is None and "benchmark" in args and "seed" in args:
-                state = self._run(f"{args['benchmark']}/{args['seed']}")
-            if state is None:
-                return
-            state.active = False
-            state.status = str(args.get("status", "stopped"))
-            if args.get("quality") is not None:
-                state.quality = float(args["quality"])
-        elif name == "job_finished":
-            # Campaign-stream confirmation; authoritative terminal status.
-            if "benchmark" in args and "seed" in args:
-                state = self._run(f"{args['benchmark']}/{args['seed']}")
-                state.active = bool(args.get("will_retry", False))
-                state.status = str(args.get("status", state.status))
-        elif name == "arena_stats":
-            state = self._resolve(event)
-            if state is not None and "hit_rate" in args:
-                state.arena_hit_rate = float(args["hit_rate"])
-
-    def apply_all(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.apply(event)
-
-    def absorb_view(self, view: MonitorView) -> None:
-        """Fold live heartbeat knowledge (the monitor's stall inputs) in.
-
-        Heartbeats are latest-state-only, so this is for live evaluation;
-        replay over a finished stream never needs it.  A fresh heartbeat
-        advances the run's progress instant exactly as the monitor's
-        stall detection would observe it.
-        """
-        for job in view.jobs:
-            state = self._run(job.key)
-            if job.status in ("running", "stalled"):
-                state.active = True
-                state.started = True
-            elif job.status != "pending":
-                state.active = False
-                state.status = job.status
-            if job.heartbeat_age_s is not None:
-                beat_s = view.now_s - job.heartbeat_age_s
-                state.last_progress_s = max(state.last_progress_s, beat_s)
-            if job.quality is not None and state.quality is None:
-                state.quality = job.quality
-
-    def context(self, now_s: float) -> AlertContext:
-        return AlertContext(now_s=float(now_s), runs=self.runs)
 
 
 def _check(rule: AlertRule, state: RunAlertState,
@@ -458,20 +317,20 @@ def replay_alerts(events: list[Event],
     transition sequences.
     """
     engine = AlertEngine(rules, sink=sink)
-    fold = StreamFold()
+    fold = CampaignFold()
     transitions: list[Event] = []
     i, n = 0, len(events)
     while i < n:
         t = events[i].time_s
         if fold.runs:
-            transitions.extend(engine.evaluate(fold.context(t)))
+            transitions.extend(engine.evaluate(fold.alert_context(t)))
         while i < n and events[i].time_s == t:
             fold.apply(events[i])
             i += 1
-        transitions.extend(engine.evaluate(fold.context(t)))
+        transitions.extend(engine.evaluate(fold.alert_context(t)))
     final_now = now_s if now_s is not None else (
         events[-1].time_s if events else 0.0)
-    transitions.extend(engine.evaluate(fold.context(final_now)))
+    transitions.extend(engine.evaluate(fold.alert_context(final_now)))
     return engine, transitions
 
 

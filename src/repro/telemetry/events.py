@@ -260,17 +260,19 @@ class EventCursor:
 
 
 class HeartbeatCache:
-    """A ``read_heartbeat`` front that skips re-parsing unchanged files.
+    """Re-parse a file only when its ``(mtime_ns, size, inode)`` changes.
 
-    Heartbeats are atomically replaced on every beat, so ``(mtime_ns,
-    size, inode)`` changing is exactly "there is a new record".  A poller
-    asking about a quiet job costs one ``stat``, not a parse.
+    ``parser(path)`` defaults to :func:`read_heartbeat`.  Heartbeats, the
+    journal and run headers are replaced atomically, so a new signature
+    is exactly "there is a new record": a quiet file costs one ``stat``.
+    A file that cannot be stat'ed reads as None.
     """
 
-    def __init__(self):
-        self._entries: dict[Path, tuple[tuple[int, int, int], Heartbeat | None]] = {}
+    def __init__(self, parser: Callable[[Path], Any] | None = None):
+        self._parse = parser or read_heartbeat
+        self._entries: dict[Path, tuple[tuple[int, int, int], Any]] = {}
 
-    def read(self, path: str | Path) -> Heartbeat | None:
+    def read(self, path: str | Path) -> Any:
         path = Path(path)
         try:
             stat = os.stat(path)
@@ -281,9 +283,9 @@ class HeartbeatCache:
         cached = self._entries.get(path)
         if cached is not None and cached[0] == signature:
             return cached[1]
-        beat = read_heartbeat(path)
-        self._entries[path] = (signature, beat)
-        return beat
+        value = self._parse(path)
+        self._entries[path] = (signature, value)
+        return value
 
 
 def merge_event_streams(paths: Iterable[str | Path]) -> list[Event]:

@@ -9,7 +9,11 @@ only the durable observability surface:
 - ``heartbeats/*.json`` — each job's latest liveness record
   (:class:`~repro.telemetry.events.HeartbeatWriter`);
 - ``events/*.jsonl`` — the merged lifecycle/progress timeline
-  (:func:`~repro.telemetry.events.read_events`, truncation-tolerant).
+  (:class:`~repro.telemetry.events.EventCursor`, truncation-tolerant).
+
+:class:`CampaignFold` reads all three incrementally, with memory bounded
+by the number of runs plus a fixed event tail; it is the one fold the
+monitor, the observability server and the alert rules share.
 
 No sockets, no shared state, no imports of the execution engine: the
 monitor cannot crash a campaign and works on a copied directory.  ``now``
@@ -25,20 +29,31 @@ states ``reached`` / ``quality_miss`` / ``fault`` / ``timeout``.
 from __future__ import annotations
 
 import json
-import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Mapping
 
-from .events import (Event, EventCursor, Heartbeat, HeartbeatCache,
-                     merge_event_streams, read_heartbeat)
+from .events import Event, EventCursor, Heartbeat, HeartbeatCache
 
-__all__ = ["JobView", "MonitorView", "CampaignTailer", "DEFAULT_STALL_AFTER_S",
+__all__ = ["JobView", "MonitorView", "CampaignFold", "RunAlertState",
+           "AlertContext", "DEFAULT_STALL_AFTER_S", "DEFAULT_RECENT_EVENTS",
            "load_monitor_view", "build_view", "campaign_dir_problem",
            "render_monitor_view", "render_job_table"]
 
 DEFAULT_STALL_AFTER_S = 30.0
+
+# Events the monitor screen lists under its job table (``--events``).
+DEFAULT_RECENT_EVENTS = 6
+
+# Rolling-throughput memory per run; bounds fold state on long runs.
+_THROUGHPUT_KEEP = 32
+
+# CampaignFold tail entries are ((time_s, pid, stream name), event): the
+# name breaks same-instant ties the way merge_event_streams' path order does.
+_TIMELINE_ORDER = itemgetter(0)
 
 # Journal states that cannot change without another scheduling decision.
 _SETTLED = frozenset({"reached", "quality_miss", "fault", "timeout"})
@@ -75,7 +90,8 @@ class MonitorView:
 
     jobs: list[JobView] = field(default_factory=list)
     campaign: dict[str, Any] = field(default_factory=dict)
-    events: list[Event] = field(default_factory=list)
+    recent_events: list[Event] = field(default_factory=list)
+    event_count: int = 0
     now_s: float = 0.0
     stall_after_s: float = DEFAULT_STALL_AFTER_S
 
@@ -133,18 +149,22 @@ class MonitorView:
         return self.remaining * (sum(durations) / len(durations))
 
 
-def _load_journal_doc(campaign_dir: Path) -> dict[str, Any]:
-    """Read the journal JSON directly (no exec-engine import: files only)."""
-    path = campaign_dir / "campaign_journal.json"
-    if not path.is_file():
-        return {}
+def _read_journal(path: Path) -> dict[str, Any]:
+    """Parse the journal JSON directly (no exec-engine import: files only)."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+    except (OSError, json.JSONDecodeError):
         # A journal mid-replace can't be half-written (atomic rename), but
         # a foreign/corrupt file should degrade to "no journal", not crash
         # a monitor attached to a live run.
         return {}
+
+
+def _beat_is_live(record: dict[str, Any] | None,
+                  beat: Heartbeat | None) -> bool:
+    """A running heartbeat not superseded by a reached record: in flight."""
+    return (beat is not None and beat.status == "running"
+            and (record is None or record["status"] != "reached"))
 
 
 def build_view(
@@ -153,7 +173,8 @@ def build_view(
     planned_cells: list[tuple[str, int]] | None = None,
     heartbeats: dict[str, Heartbeat] | None = None,
     campaign: dict[str, Any] | None = None,
-    events: list[Event] | None = None,
+    recent_events: Iterable[Event] = (),
+    event_count: int = 0,
     now_s: float,
     stall_after_s: float = DEFAULT_STALL_AFTER_S,
 ) -> MonitorView:
@@ -162,8 +183,8 @@ def build_view(
     ``job_records`` maps ``benchmark/seed`` to journal-record dicts (the
     exact shape :class:`~repro.exec.journal.JobRecord` serializes to).
     This is the single state-derivation path — ``repro monitor`` feeds it
-    from files and ``repro campaign`` feeds it from the in-memory journal,
-    so both render identical tables.
+    from a :class:`CampaignFold` and ``repro campaign`` from the
+    in-memory journal, so both render identical tables.
     """
     heartbeats = heartbeats or {}
     cells: dict[tuple[str, int], None] = {}
@@ -191,10 +212,7 @@ def build_view(
         stalled = False
         if beat is not None:
             age = beat.age_s(now_s)
-            live = beat.status == "running"
-            # A running heartbeat newer than the journal's last word means
-            # a retry (or the first attempt) is in flight right now.
-            if live and (record is None or status not in ("reached",)):
+            if _beat_is_live(record, beat):
                 stalled = age > stall_after_s
                 status = "stalled" if stalled else "running"
                 attempts = max(attempts, beat.attempt + 1)
@@ -208,7 +226,8 @@ def build_view(
             error=error,
         ))
     return MonitorView(jobs=jobs, campaign=dict(campaign or {}),
-                       events=list(events or []), now_s=now_s,
+                       recent_events=list(recent_events),
+                       event_count=event_count, now_s=now_s,
                        stall_after_s=stall_after_s)
 
 
@@ -217,31 +236,12 @@ def load_monitor_view(
     *,
     now_s: float | None = None,
     stall_after_s: float = DEFAULT_STALL_AFTER_S,
+    tail: int = DEFAULT_RECENT_EVENTS,
 ) -> MonitorView:
-    """Build a view from a campaign directory's files alone."""
-    campaign_dir = Path(campaign_dir)
-    now_s = time.time() if now_s is None else float(now_s)
-
-    doc = _load_journal_doc(campaign_dir)
-    campaign = dict(doc.get("campaign", {}))
-    job_records = {key: dict(rec) for key, rec in doc.get("jobs", {}).items()}
-    planned = [(str(b), int(s)) for b, s in campaign.get("planned_cells", [])]
-
-    heartbeats: dict[str, Heartbeat] = {}
-    hb_dir = campaign_dir / "heartbeats"
-    if hb_dir.is_dir():
-        for path in sorted(hb_dir.glob("*.json")):
-            beat = read_heartbeat(path)
-            if beat is not None:
-                heartbeats[beat.key] = beat
-
-    events_dir = campaign_dir / "events"
-    events = (merge_event_streams(sorted(events_dir.glob("*.jsonl")))
-              if events_dir.is_dir() else [])
-
-    return build_view(job_records=job_records, planned_cells=planned,
-                      heartbeats=heartbeats, campaign=campaign, events=events,
-                      now_s=now_s, stall_after_s=stall_after_s)
+    """Build a view from a campaign directory's files: a one-shot fold."""
+    fold = CampaignFold(campaign_dir, tail=tail, stall_after_s=stall_after_s)
+    fold.poll()
+    return fold.view(now_s)
 
 
 def campaign_dir_problem(campaign_dir: str | Path) -> str | None:
@@ -268,93 +268,220 @@ def campaign_dir_problem(campaign_dir: str | Path) -> str | None:
     return None
 
 
-class CampaignTailer:
-    """Incremental :func:`load_monitor_view` for pollers.
+@dataclass
+class RunAlertState:
+    """Everything the alert rules need to know about one (benchmark, seed) run."""
 
-    ``load_monitor_view`` re-reads every file on every call — correct for
-    one-shot ``repro monitor``, quadratic for ``--watch`` and the
-    observability server.  The tailer keeps an
-    :class:`~repro.telemetry.events.EventCursor` per stream (new streams
-    are discovered each refresh), a
-    :class:`~repro.telemetry.events.HeartbeatCache`, and a signature-
-    checked journal parse, so a refresh over a quiet campaign costs only
-    ``stat`` calls and already-consumed JSONL bytes are never re-read.
+    key: str
+    active: bool = False
+    status: str = "pending"
+    last_progress_s: float = 0.0
+    target: float | None = None
+    quality: float | None = None
+    evals: int = 0
+    throughput: list[float] = field(default_factory=list)
+    arena_hit_rate: float | None = None
 
-    The accumulated timeline (``self.events``) matches what
-    :func:`~repro.telemetry.events.merge_event_streams` would return for
-    the same files, in the same ``(time_s, pid)`` order.
+
+@dataclass(frozen=True)
+class AlertContext:
+    """A point-in-time evaluation input: the fold state at ``now_s``."""
+
+    now_s: float
+    runs: Mapping[str, RunAlertState]
+
+
+class CampaignFold:
+    """The one incremental tail-and-fold over a campaign directory.
+
+    ``repro monitor`` (and ``--watch``), ``serve-metrics`` and its alert
+    engine read campaign state through this class.  :meth:`poll` reads
+    only what the files gained: an
+    :class:`~repro.telemetry.events.EventCursor` per stream and
+    stat-signature-cached journal and heartbeat parses, so polling a
+    quiet campaign costs ``stat`` calls.  Each new event goes once
+    through :meth:`apply`, the per-run alert reducer; each poll's batch
+    in timeline order, batches in arrival order.
+
+    Memory is O(runs + ``tail``), not O(history): the fold keeps a count
+    and the last ``tail`` events, equal to
+    ``merge_event_streams(...)[-tail:]`` even when a slow stream delivers
+    older events late.  Without a ``campaign_dir`` it is the bare reducer
+    that :func:`~repro.telemetry.alerts.replay_alerts` feeds.
     """
 
-    def __init__(self, campaign_dir: str | Path,
+    def __init__(self, campaign_dir: str | Path | None = None, *,
+                 tail: int = DEFAULT_RECENT_EVENTS,
                  stall_after_s: float = DEFAULT_STALL_AFTER_S):
-        self.campaign_dir = Path(campaign_dir)
+        self.campaign_dir = None if campaign_dir is None else Path(campaign_dir)
         self.stall_after_s = float(stall_after_s)
-        self.events: list[Event] = []
-        self._cursors: dict[Path, EventCursor] = {}
-        self._beats = HeartbeatCache()
-        self._journal_sig: tuple[int, int, int] | None = None
-        self._journal_doc: dict[str, Any] = {}
+        self.cursors: dict[Path, EventCursor] = {}
+        self.event_count = 0
+        self.runs: dict[str, RunAlertState] = {}
+        self._key_by_pid: dict[int, str] = {}
+        self._tail: deque[tuple[tuple[float, int, str], Event]] = \
+            deque(maxlen=tail)
+        self._journal_cache = HeartbeatCache(_read_journal)
+        self._beat_cache = HeartbeatCache()
+        self._journal: dict[str, Any] = {}
+        self._beats: dict[str, Heartbeat] = {}
 
     @property
     def consumed_bytes(self) -> int:
         """Total event-stream bytes ever handed to the parser."""
-        return sum(c.consumed_bytes for c in self._cursors.values())
+        return sum(c.consumed_bytes for c in self.cursors.values())
 
-    def poll_events(self) -> list[Event]:
-        """Consume newly-completed events from every stream (sorted)."""
+    def poll(self) -> list[Event]:
+        """Absorb what the files gained; return the new events, sorted."""
+        if self.campaign_dir is None:
+            return []
         events_dir = self.campaign_dir / "events"
         if events_dir.is_dir():
-            for path in sorted(events_dir.glob("*.jsonl")):
-                if path not in self._cursors:
-                    self._cursors[path] = EventCursor(path)
-        fresh: list[Event] = []
-        for path in sorted(self._cursors):
-            fresh.extend(self._cursors[path].poll())
-        fresh.sort(key=lambda e: (e.time_s, e.pid))
+            for path in events_dir.glob("*.jsonl"):
+                if path not in self.cursors:
+                    self.cursors[path] = EventCursor(path)
+        fresh = sorted((((event.time_s, event.pid, path.name), event)
+                        for path in sorted(self.cursors)
+                        for event in self.cursors[path].poll()),
+                       key=_TIMELINE_ORDER)
         if fresh:
-            if self.events and fresh[0].time_s < self.events[-1].time_s:
-                # A slow stream delivered events older than the merged
-                # tail; re-sort (stable, so same-instant order holds).
-                self.events.extend(fresh)
-                self.events.sort(key=lambda e: (e.time_s, e.pid))
-            else:
-                self.events.extend(fresh)
-        return fresh
+            # A slow stream may deliver events older than the tail's end.
+            # Sorting two sorted runs is a linear merge, and stable, so one
+            # stream's same-instant lines keep their file order.
+            self._tail = deque(sorted([*self._tail, *fresh],
+                                      key=_TIMELINE_ORDER),
+                               maxlen=self._tail.maxlen)
+        self.event_count += len(fresh)
+        events = [event for _, event in fresh]
+        for event in events:
+            self.apply(event)
 
-    def _journal(self) -> dict[str, Any]:
-        path = self.campaign_dir / "campaign_journal.json"
-        try:
-            stat = os.stat(path)
-        except OSError:
-            self._journal_sig, self._journal_doc = None, {}
-            return self._journal_doc
-        signature = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-        if signature != self._journal_sig:
-            self._journal_doc = _load_journal_doc(self.campaign_dir)
-            self._journal_sig = signature
-        return self._journal_doc
-
-    def refresh(self, now_s: float | None = None) -> MonitorView:
-        """One poll: absorb new data, return the current view."""
-        now_s = time.time() if now_s is None else float(now_s)
-        self.poll_events()
-        doc = self._journal()
-        campaign = dict(doc.get("campaign", {}))
-        job_records = {key: dict(rec)
-                       for key, rec in doc.get("jobs", {}).items()}
-        planned = [(str(b), int(s))
-                   for b, s in campaign.get("planned_cells", [])]
-        heartbeats: dict[str, Heartbeat] = {}
+        self._journal = self._journal_cache.read(
+            self.campaign_dir / "campaign_journal.json") or {}
+        self._beats = {}
         hb_dir = self.campaign_dir / "heartbeats"
         if hb_dir.is_dir():
             for path in sorted(hb_dir.glob("*.json")):
-                beat = self._beats.read(path)
+                beat = self._beat_cache.read(path)
                 if beat is not None:
-                    heartbeats[beat.key] = beat
-        return build_view(job_records=job_records, planned_cells=planned,
-                          heartbeats=heartbeats, campaign=campaign,
-                          events=self.events, now_s=now_s,
+                    self._beats[beat.key] = beat
+        return events
+
+    def view(self, now_s: float | None = None) -> MonitorView:
+        """The monitor view of the last poll at ``now_s`` (default: now)."""
+        now_s = time.time() if now_s is None else float(now_s)
+        campaign = self._journal.get("campaign", {})
+        return build_view(job_records=self._journal.get("jobs", {}),
+                          planned_cells=campaign.get("planned_cells", []),
+                          heartbeats=self._beats, campaign=campaign,
+                          recent_events=[event for _, event in self._tail],
+                          event_count=self.event_count, now_s=now_s,
                           stall_after_s=self.stall_after_s)
+
+    def alert_context(self, now_s: float) -> AlertContext:
+        """Run state for the alert rules at ``now_s``.
+
+        Folds the last poll's journal records and heartbeats into the
+        event-derived state (replay has neither).  A fresh heartbeat
+        advances a run's progress instant as the monitor's stall
+        detection sees it.
+        """
+        now_s = float(now_s)
+        records = self._journal.get("jobs", {})
+        for key in set(records) | set(self._beats):
+            state = self._run(key)
+            record, beat = records.get(key), self._beats.get(key)
+            live = _beat_is_live(record, beat)
+            if live:
+                state.active = True
+            elif record is not None:
+                state.active = False
+                state.status = record["status"]
+            quality = record.get("quality") if record else None
+            if beat is not None:
+                state.last_progress_s = max(state.last_progress_s,
+                                            now_s - beat.age_s(now_s))
+                if live and beat.quality is not None:
+                    quality = beat.quality
+            if quality is not None and state.quality is None:
+                state.quality = quality
+        return AlertContext(now_s=now_s, runs=self.runs)
+
+    # -- the per-run reducer -------------------------------------------------
+    def _run(self, key: str) -> RunAlertState:
+        state = self.runs.get(key)
+        if state is None:
+            state = self.runs[key] = RunAlertState(key=key)
+        return state
+
+    def _resolve(self, event: Event) -> RunAlertState | None:
+        key = self._key_by_pid.get(event.pid)
+        return None if key is None else self._run(key)
+
+    def apply(self, event: Event) -> None:
+        """Fold one event into its run's state.
+
+        Worker events carry no benchmark/seed in their args, only a
+        ``pid`` (the job ordinal) — ``run_start``/``job_start`` establish
+        the pid→run mapping the progress events resolve through.
+        """
+        args = event.args
+        name = event.name
+        if name in ("run_start", "job_start"):
+            if "benchmark" not in args or "seed" not in args:
+                return
+            key = f"{args['benchmark']}/{args['seed']}"
+            self._key_by_pid[event.pid] = key
+            state = self._run(key)
+            if name == "run_start":
+                # A (re)started attempt resets the run-scoped signals.
+                state.active = True
+                state.status = "running"
+                state.quality = None
+                state.evals = 0
+                state.throughput = []
+                state.arena_hit_rate = None
+                if args.get("target") is not None:
+                    state.target = float(args["target"])
+            state.last_progress_s = max(state.last_progress_s, event.time_s)
+        elif name == "epoch":
+            state = self._resolve(event)
+            if state is None:
+                return
+            state.last_progress_s = max(state.last_progress_s, event.time_s)
+            seconds = args.get("epoch_seconds")
+            samples = args.get("samples")
+            if seconds and samples:
+                state.throughput.append(float(samples) / float(seconds))
+                del state.throughput[:-_THROUGHPUT_KEEP]
+        elif name == "eval":
+            state = self._resolve(event)
+            if state is None:
+                return
+            state.last_progress_s = max(state.last_progress_s, event.time_s)
+            if "quality" in args:
+                state.quality = float(args["quality"])
+                state.evals += 1
+        elif name == "run_stop":
+            state = self._resolve(event)
+            if state is None and "benchmark" in args and "seed" in args:
+                state = self._run(f"{args['benchmark']}/{args['seed']}")
+            if state is None:
+                return
+            state.active = False
+            state.status = str(args.get("status", "stopped"))
+            if args.get("quality") is not None:
+                state.quality = float(args["quality"])
+        elif name == "job_finished":
+            # Campaign-stream confirmation; authoritative terminal status.
+            if "benchmark" in args and "seed" in args:
+                state = self._run(f"{args['benchmark']}/{args['seed']}")
+                state.active = bool(args.get("will_retry", False))
+                state.status = str(args.get("status", state.status))
+        elif name == "arena_stats":
+            state = self._resolve(event)
+            if state is not None and "hit_rate" in args:
+                state.arena_hit_rate = float(args["hit_rate"])
 
 
 def _fmt(value: float | None, spec: str, empty: str = "-") -> str:
@@ -381,7 +508,8 @@ def render_job_table(jobs: list[JobView]) -> str:
     return "\n".join(lines)
 
 
-def render_monitor_view(view: MonitorView, *, recent_events: int = 6) -> str:
+def render_monitor_view(view: MonitorView, *,
+                        recent_events: int = DEFAULT_RECENT_EVENTS) -> str:
     """The full refreshable screen: summary line, job table, event tail."""
     counts = view.counts()
     summary = " ".join(f"{name}={counts[name]}" for name in
@@ -410,11 +538,12 @@ def render_monitor_view(view: MonitorView, *, recent_events: int = 6) -> str:
         )
     lines.append("")
     lines.append(render_job_table(view.jobs))
-    if view.events and recent_events > 0:
+    if view.recent_events and recent_events > 0:
+        shown = view.recent_events[-recent_events:]
         lines.append("")
-        lines.append(f"recent events (last {min(recent_events, len(view.events))} "
-                     f"of {len(view.events)}):")
-        for event in view.events[-recent_events:]:
+        lines.append(f"recent events (last {len(shown)} "
+                     f"of {view.event_count}):")
+        for event in shown:
             args = " ".join(f"{k}={event.args[k]}" for k in sorted(event.args))
             lines.append(f"  t={event.time_s:.3f} pid={event.pid} "
                          f"{event.name} {args}".rstrip())

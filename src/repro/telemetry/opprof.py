@@ -158,7 +158,7 @@ class OpProfiler:
         self.active = mode != "off"
         self.phase = "forward"
         self.steps_total = 0
-        self.steps_sampled = 1 if self.active else 0
+        self.steps_sampled = 0
         # (phase, op) -> [calls, total_ns, self_ns, bytes_moved]
         self._ops: dict[tuple[str, str], list[int]] = {}
         # phase -> {"tensor_allocs": n, "tensor_bytes": n}
@@ -170,11 +170,13 @@ class OpProfiler:
         """Mark a step/epoch boundary (drives ``sampled`` mode)."""
         if self.mode == "off":
             return
+        # Count the window this boundary closes, so full mode samples
+        # exactly ``steps_total`` and sampled mode never exceeds it.
         self.steps_total += 1
-        if self.mode == "sampled":
-            self.active = (self.steps_total % self.sample_every) == 0
         if self.active:
             self.steps_sampled += 1
+        if self.mode == "sampled":
+            self.active = (self.steps_total % self.sample_every) == 0
 
     # -- recording -----------------------------------------------------------
     def begin(self) -> None:

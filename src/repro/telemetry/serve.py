@@ -24,11 +24,11 @@ Endpoints:
     transition, fed from an in-memory ring buffer — SSE fan-out never
     re-reads files, preserving the cursor layer's zero re-read property.
 
-Incrementality is structural: each campaign is tailed by a
-:class:`~repro.telemetry.monitor.CampaignTailer` (offset-tracking
-:class:`~repro.telemetry.events.EventCursor` per stream), folded once
-into alert state, and shared by every endpoint.  A refresh of a quiet
-campaign costs ``stat`` calls only.
+Incrementality is structural: each campaign is tailed and folded by one
+:class:`~repro.telemetry.monitor.CampaignFold` (an offset-tracking
+:class:`~repro.telemetry.events.EventCursor` per stream, a bounded event
+tail), polled once per refresh and shared by every endpoint and the
+alert engine.  A refresh of a quiet campaign costs ``stat`` calls only.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .alerts import AlertEngine, AlertRule, StreamFold
-from .events import Event, EventLog
+from .alerts import AlertEngine, AlertRule
+from .events import Event, EventLog, HeartbeatCache
 from .export import (EXPOSITION_CONTENT_TYPE, alert_lines, render_exposition,
                      snapshot_lines, view_lines)
 from .metrics import MetricsRegistry, merge_snapshots
-from .monitor import (DEFAULT_STALL_AFTER_S, CampaignTailer, MonitorView,
+from .monitor import (DEFAULT_STALL_AFTER_S, CampaignFold, MonitorView,
                       campaign_dir_problem)
 
 __all__ = ["ObservabilityServer", "discover_campaign_dirs", "ALERTS_LOG_NAME"]
@@ -77,16 +77,28 @@ def discover_campaign_dirs(root: str | Path) -> dict[str, Path]:
     return found
 
 
+def _read_run_header(path: Path) -> dict[str, Any] | None:
+    """A result file's ``# repro-run`` header (no ndarray load), or None."""
+    prefix = "# repro-run "
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            first = fh.readline()
+        return (json.loads(first[len(prefix):])
+                if first.startswith(prefix) else None)
+    except (OSError, json.JSONDecodeError):
+        return None
+
+
 class _CampaignState:
-    """One tailed campaign: cursors, alert fold, latest view, run cache."""
+    """One watched campaign: its fold, alert engine, and run-header cache."""
 
     def __init__(self, campaign_id: str, directory: Path, *,
                  rules: Iterable[AlertRule] | None,
                  stall_after_s: float, write_alerts: bool):
         self.id = campaign_id
         self.directory = directory
-        self.tailer = CampaignTailer(directory, stall_after_s=stall_after_s)
-        self.fold = StreamFold()
+        self.fold = CampaignFold(directory, tail=_RING_DEPTH,
+                                 stall_after_s=stall_after_s)
         sink = None
         if write_alerts:
             self._alerts_log = EventLog(directory / ALERTS_LOG_NAME)
@@ -96,15 +108,13 @@ class _CampaignState:
         self.engine = AlertEngine(rules, sink=sink)
         self.view: MonitorView | None = None
         self.transitions: deque[Event] = deque(maxlen=_RING_DEPTH)
-        self._series_cache: dict[str, tuple[float, dict[str, Any]]] = {}
+        self._headers = HeartbeatCache(_read_run_header)
 
     def refresh(self, now_s: float) -> list[Event]:
-        """Tail, fold, evaluate; return fresh events + alert transitions."""
-        fresh = self.tailer.poll_events()
-        self.view = self.tailer.refresh(now_s)
-        self.fold.apply_all(fresh)
-        self.fold.absorb_view(self.view)
-        new = self.engine.evaluate(self.fold.context(now_s))
+        """Poll, fold, evaluate; return fresh events + alert transitions."""
+        fresh = self.fold.poll()
+        self.view = self.fold.view(now_s)
+        new = self.engine.evaluate(self.fold.alert_context(now_s))
         self.transitions.extend(new)
         return fresh + new
 
@@ -112,29 +122,10 @@ class _CampaignState:
         if self._alerts_log is not None:
             self._alerts_log.close()
 
-    # -- result-file access (mtime-cached; headers only, no ndarray load) --
     def run_header(self, benchmark: str, seed: str) -> dict[str, Any] | None:
-        rel = f"jobs/{benchmark}/seed_{seed}.txt"
-        path = self.directory / rel
-        try:
-            mtime = path.stat().st_mtime_ns
-        except OSError:
-            self._series_cache.pop(rel, None)
-            return None
-        cached = self._series_cache.get(rel)
-        if cached is not None and cached[0] == mtime:
-            return cached[1]
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            first = fh.readline()
-        prefix = "# repro-run "
-        if not first.startswith(prefix):
-            return None
-        try:
-            header = json.loads(first[len(prefix):])
-        except json.JSONDecodeError:
-            return None
-        self._series_cache[rel] = (mtime, header)
-        return header
+        """The run's result-file header, re-parsed only when the file changes."""
+        return self._headers.read(
+            self.directory / "jobs" / benchmark / f"seed_{seed}.txt")
 
     def metric_snapshots(self) -> list[dict[str, Any]]:
         """Every completed job's metrics snapshot (for /metrics merging)."""
@@ -211,7 +202,7 @@ class ObservabilityServer:
                     self._seq += 1
                     published.append((self._seq, cid, event))
                 self.metrics.gauge(f"server_consumed_bytes_{cid}").set(
-                    state.tailer.consumed_bytes)
+                    state.fold.consumed_bytes)
             if published:
                 self.metrics.counter("server_events_published").inc(
                     len(published))
@@ -263,7 +254,7 @@ class ObservabilityServer:
                     "counts": view.counts(), "eta_s": view.eta_s(),
                     "stalled_jobs": len(view.stalled_jobs),
                     "alerts_firing": len(state.engine.active()),
-                    "events": len(view.events),
+                    "events": view.event_count,
                 })
         return out
 

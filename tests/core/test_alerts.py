@@ -12,8 +12,8 @@ from repro.core.timing import FakeClock
 from repro.telemetry import (
     AlertEngine,
     Event,
+    CampaignFold,
     EventBus,
-    StreamFold,
     default_rules,
     parse_rules,
     replay_alerts,
@@ -176,13 +176,14 @@ class TestRuleLifecycle:
         events = _run_events()[:-1]
         _, _ = replay_alerts(events)  # sanity: replay works
         engine = AlertEngine()
-        fold = StreamFold()
-        fold.apply_all(events)
-        engine.evaluate(fold.context(events[-1].time_s + 500))
+        fold = CampaignFold()
+        for event in events:
+            fold.apply(event)
+        engine.evaluate(fold.alert_context(events[-1].time_s + 500))
         assert engine.active()  # stall + loss firing
         fold.apply(Event("run_stop", events[-1].time_s + 501, 1,
                          {"benchmark": "b", "seed": 0, "status": "fault"}))
-        out = engine.evaluate(fold.context(events[-1].time_s + 501))
+        out = engine.evaluate(fold.alert_context(events[-1].time_s + 501))
         assert engine.active() == []
         assert all(t.name == "alert_resolved" for t in out)
 
@@ -215,7 +216,8 @@ class TestDeterminism:
         bus.subscribe(captured.append)
         bus.publish("run_start", benchmark="b", seed=0)
         engine = AlertEngine()
-        fold = StreamFold()
-        fold.apply_all(captured)
-        out = engine.evaluate(fold.context(clock.now() + 1000.0))
+        fold = CampaignFold()
+        for event in captured:
+            fold.apply(event)
+        out = engine.evaluate(fold.alert_context(clock.now() + 1000.0))
         assert out and all(t.time_s == 1123.0 for t in out)

@@ -65,13 +65,29 @@ class TestOpProfilerCore:
             states.append(prof.active)
         assert states == [False, False, False, True] * 2
         assert prof.steps_total == 8
-        assert prof.steps_sampled == 3  # window 0 + steps 4 and 8
+        # Closed sampled windows: window 0 and the one opened at step 4;
+        # the window step 8 opened is still open.
+        assert prof.steps_sampled == 2
 
     def test_full_mode_counts_every_step(self):
         prof = OpProfiler(mode="full")
         for _ in range(5):
             prof.step()
-        assert prof.active and prof.steps_sampled == 6
+        assert prof.active
+        assert prof.steps_sampled == prof.steps_total == 5
+
+    @pytest.mark.parametrize("sample_every", [1, 2, 3, 4, 7, 64])
+    @pytest.mark.parametrize("steps", [0, 1, 5, 64, 65])
+    def test_sampled_count_never_exceeds_steps(self, sample_every, steps):
+        prof = OpProfiler(mode="sampled", sample_every=sample_every)
+        for _ in range(steps):
+            prof.step()
+        assert prof.steps_total == steps
+        assert prof.steps_sampled <= prof.steps_total
+        # Window 0 plus every window opened on a multiple of sample_every
+        # that a later boundary closed.
+        expected = 1 + (steps - 1) // sample_every if steps else 0
+        assert prof.steps_sampled == expected
 
     def test_nested_ops_attribute_self_time(self):
         t = [0]

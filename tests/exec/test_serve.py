@@ -3,7 +3,7 @@
 These tests run a real (FakeClock) campaign on disk, boot the server on
 an ephemeral port, and scrape it like Prometheus/a dashboard would. The
 tentpole property — consumed bytes never re-read — is asserted against
-the tailer's own byte accounting across repeated scrapes.
+the campaign fold's own byte accounting across repeated scrapes.
 """
 
 import json
@@ -164,17 +164,34 @@ class TestZeroReread:
         try:
             first = srv.metrics_text()
             state = srv.campaigns[tmp_path.name]
-            assert state.tailer.consumed_bytes == stream_bytes
-            polls_before = state.tailer._cursors and max(
-                c.polls for c in state.tailer._cursors.values())
+            assert state.fold.consumed_bytes == stream_bytes
+            polls_before = state.fold.cursors and max(
+                c.polls for c in state.fold.cursors.values())
             for _ in range(10):
                 clock.advance(1.0)
                 srv.metrics_text()
             # Ten more scrapes: every cursor polled again, zero new bytes.
-            assert state.tailer.consumed_bytes == stream_bytes
+            assert state.fold.consumed_bytes == stream_bytes
             assert all(c.polls > polls_before
-                       for c in state.tailer._cursors.values())
+                       for c in state.fold.cursors.values())
             assert f'repro_server_consumed_bytes_{tmp_path.name}' in first
+        finally:
+            srv.close()
+
+    def test_forced_refresh_polls_each_cursor_once(self, tmp_path):
+        clock = FakeClock(start=1000.0)
+        _run_campaign(tmp_path, clock)
+        srv = ObservabilityServer(tmp_path, clock=clock.now, min_refresh_s=0.0,
+                                  write_alerts=False)
+        try:
+            srv.refresh(force=True)
+            cursors = srv.campaigns[tmp_path.name].fold.cursors
+            assert len(cursors) == 4
+            for _ in range(3):
+                before = {path: c.polls for path, c in cursors.items()}
+                srv.refresh(force=True)
+                assert {path: c.polls for path, c in cursors.items()} == {
+                    path: polls + 1 for path, polls in before.items()}
         finally:
             srv.close()
 
@@ -185,12 +202,12 @@ class TestZeroReread:
         try:
             srv.refresh()
             state = srv.campaigns[tmp_path.name]
-            polls = state.tailer._cursors and max(
-                c.polls for c in state.tailer._cursors.values())
+            polls = state.fold.cursors and max(
+                c.polls for c in state.fold.cursors.values())
             for _ in range(10):
                 srv.refresh()  # same fake instant: all coalesced away
             assert max(c.polls
-                       for c in state.tailer._cursors.values()) == polls
+                       for c in state.fold.cursors.values()) == polls
         finally:
             srv.close()
 
